@@ -1,15 +1,10 @@
 //! Sweep-engine scaling and hot-path kernel check.
 //!
-//! Two claims are validated on the standard 8-point grid
-//! ([`fasttrack_bench::snapshot::hotpath_grid`]):
-//!
-//! 1. **Determinism/scaling** — the grid run serially and on 8 worker
-//!    threads must produce byte-identical CSVs, and on a machine with
-//!    enough cores the parallel run must be at least 3x faster.
-//! 2. **Hot-path kernel** — routing through the per-router decision LUT
-//!    ([`RouteMode::Lut`], the default) must be bit-identical to
-//!    recomputing preferences per decision ([`RouteMode::Direct`]) and
-//!    at least as fast.
+//! One claim is validated on the standard 8-point grid
+//! ([`fasttrack_bench::snapshot::hotpath_grid`]): the grid run serially
+//! and on 8 worker threads must produce byte-identical CSVs, and on a
+//! machine with enough cores the parallel run must be at least 3x
+//! faster.
 //!
 //! The measured times are written as a versioned
 //! [`fasttrack_bench::snapshot::BenchSnapshot`] to `BENCH_hotpath.json`
@@ -19,10 +14,7 @@
 //! baseline and fails CI on a >10% hot-path regression.
 
 use fasttrack_bench::runner::{quick_mode, sweep_csv};
-use fasttrack_bench::snapshot::{
-    hotpath_grid, measure_hotpath, snapshot_from, timed_serial, HOTPATH_THREADS,
-};
-use fasttrack_core::kernel::RouteMode;
+use fasttrack_bench::snapshot::{hotpath_grid, measure_hotpath, snapshot_from, HOTPATH_THREADS};
 
 /// Mean serial wall-clock of this grid on the reference machine before
 /// the routing kernel landed (route preferences recomputed per decision,
@@ -48,19 +40,6 @@ fn main() {
         "parallel sweep output must be byte-identical to the serial run"
     );
 
-    // Hot-path kernel: LUT vs per-decision recomputation, same binary,
-    // same seeds, same session path.
-    let (_, lut_delivered) = timed_serial(&grid, RouteMode::Lut);
-    let (_, direct_delivered) = timed_serial(&grid, RouteMode::Direct);
-    assert_eq!(
-        lut_delivered, direct_delivered,
-        "LUT routing must be bit-identical to direct computation"
-    );
-    assert_eq!(
-        m.delivered, lut_delivered,
-        "measured delivered count must match the route-mode passes"
-    );
-
     let speedup = m.serial_secs / m.parallel_secs.max(1e-9);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
@@ -74,11 +53,8 @@ fn main() {
         cores
     );
     println!(
-        "hotpath: lut {:.3}s, direct {:.3}s ({:.2}x), vs pre-kernel baseline \
-         {:.3}s ({:.2}x)",
-        m.lut_secs,
-        m.direct_secs,
-        m.direct_secs / m.lut_secs.max(1e-9),
+        "hotpath: serial {:.3}s vs pre-kernel baseline {:.3}s ({:.2}x)",
+        m.serial_secs,
         PRE_KERNEL_SERIAL_SECS,
         PRE_KERNEL_SERIAL_SECS / m.serial_secs.max(1e-9),
     );

@@ -29,18 +29,6 @@ use crate::port::InPort;
 use crate::router::RouterClass;
 use crate::routing::{compute_prefs, RoutePrefs};
 
-/// How a torus engine resolves route preferences each cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouteMode {
-    /// Table lookups against a [`RouteLut`] built at construction (the
-    /// default hot path).
-    #[default]
-    Lut,
-    /// Recompute preferences from coordinates every cycle (the reference
-    /// path the differential tests compare against).
-    Direct,
-}
-
 /// Precomputed route preferences for every `(class, in port, dx, dy)`.
 ///
 /// Shared between engine clones (multi-channel banks, batched drivers)

@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::fallback::{FallbackAction, FallbackConfig, FallbackError};
     pub use crate::fault::{Fault, FaultError, FaultPlan, FaultSpec, StormSpec};
     pub use crate::geom::Coord;
-    pub use crate::kernel::{PacketPool, RouteLut, RouteMode};
+    pub use crate::kernel::{PacketPool, RouteLut};
     pub use crate::metrics::{EpochStats, WindowedMetrics};
     pub use crate::monitor::{
         Anomaly, Counter, DetectorConfig, FlightRecorder, Gauge, HealthMonitor, HealthReport,
@@ -103,12 +103,6 @@ pub mod prelude {
     pub use crate::sim::{
         drive_engine, SessionBackend, SimEngine, SimOptions, SimOutcome, SimReport, SimSession,
         TorusBackend, TorusEngine, TrafficSource,
-    };
-    #[cfg(feature = "legacy-api")]
-    #[allow(deprecated)]
-    pub use crate::sim::{
-        simulate, simulate_faulted, simulate_faulted_traced, simulate_multichannel,
-        simulate_multichannel_faulted, simulate_multichannel_traced, simulate_traced,
     };
     pub use crate::stats::{Histogram, LatencyStats, LinkUsage, PortCounters, SimStats};
     pub use crate::sweep::{point_seed, retry_seed, splitmix64, sweep, sweep_fallible, SweepError};

@@ -16,13 +16,12 @@ use crate::config::{FtPolicy, NocConfig};
 use crate::fallback::CompiledFallback;
 use crate::fault::{FaultError, FaultPlan, FaultState};
 use crate::geom::Coord;
-use crate::kernel::{PacketPool, RouteLut, RouteMode, EMPTY_SLOT};
+use crate::kernel::{PacketPool, RouteLut, EMPTY_SLOT};
 use crate::packet::{Delivery, Packet};
 use crate::port::{InPort, OutPort, OutSet};
-use crate::probe::Probe;
 use crate::queue::InjectQueues;
 use crate::router::RouterClass;
-use crate::routing::{compute_prefs, RoutePrefs};
+use crate::routing::RoutePrefs;
 use crate::stats::SimStats;
 use crate::trace::{EventSink, NullSink, SimEvent};
 
@@ -77,13 +76,12 @@ pub struct Noc {
     /// Struct-of-arrays storage for every packet referenced by `regs`
     /// and the wheel frames.
     pool: PacketPool,
-    /// Precomputed route preferences (shared between clones); `None`
-    /// when the engine runs in [`RouteMode::Direct`].
-    lut: Option<Arc<RouteLut>>,
+    /// Precomputed route preferences (shared between clones): the
+    /// engine's only route resolution.
+    lut: Arc<RouteLut>,
     in_flight: usize,
     cycle: u64,
     stats: SimStats,
-    probe: Option<Probe>,
     /// Compiled fault tables; `None` on a healthy fabric, which keeps
     /// the no-fault path structurally identical to the pre-fault engine.
     faults: Option<FaultState>,
@@ -100,17 +98,9 @@ pub struct Noc {
 }
 
 impl Noc {
-    /// Builds an idle NoC for the given configuration, with the route
-    /// LUT enabled (see [`Noc::with_route_mode`]).
+    /// Builds an idle NoC for the given configuration. The route table
+    /// is precomputed here, so the cycle loop only does lookups.
     pub fn new(cfg: NocConfig) -> Self {
-        Noc::with_route_mode(cfg, RouteMode::Lut)
-    }
-
-    /// Builds an idle NoC resolving routes per `mode`. [`RouteMode::Lut`]
-    /// precomputes the route tables here so the cycle loop only does
-    /// lookups; [`RouteMode::Direct`] keeps the branchy per-cycle
-    /// computation (the reference path for differential tests).
-    pub fn with_route_mode(cfg: NocConfig, mode: RouteMode) -> Self {
         let nodes = cfg.num_nodes();
         let n = cfg.n();
         let mut classes = Vec::with_capacity(nodes);
@@ -124,12 +114,9 @@ impl Noc {
             coords.push(at);
         }
         let depth = cfg.link_pipeline().max_cycles() as usize;
-        let lut = match mode {
-            RouteMode::Lut => {
-                let _span = crate::profile::scoped("session.build.route_lut");
-                Some(RouteLut::build(&cfg))
-            }
-            RouteMode::Direct => None,
+        let lut = {
+            let _span = crate::profile::scoped("session.build.route_lut");
+            RouteLut::build(&cfg)
         };
         Noc {
             cfg,
@@ -145,44 +132,11 @@ impl Noc {
             in_flight: 0,
             cycle: 0,
             stats: SimStats::default(),
-            probe: None,
             faults: None,
             fallback: CompiledFallback::default(),
             evict_enabled: false,
             evicted: Vec::new(),
         }
-    }
-
-    /// Switches the route-resolution mode. Entering [`RouteMode::Lut`]
-    /// builds the table if this engine does not already hold one.
-    pub fn set_route_mode(&mut self, mode: RouteMode) {
-        match mode {
-            RouteMode::Direct => self.lut = None,
-            RouteMode::Lut => {
-                if self.lut.is_none() {
-                    self.lut = Some(RouteLut::build(&self.cfg));
-                }
-            }
-        }
-    }
-
-    /// The current route-resolution mode.
-    pub fn route_mode(&self) -> RouteMode {
-        if self.lut.is_some() {
-            RouteMode::Lut
-        } else {
-            RouteMode::Direct
-        }
-    }
-
-    /// Shared handle on the route table, if one is installed.
-    pub(crate) fn lut_handle(&self) -> Option<Arc<RouteLut>> {
-        self.lut.clone()
-    }
-
-    /// Installs a prebuilt route table (multi-channel banks share one).
-    pub(crate) fn install_lut(&mut self, lut: Arc<RouteLut>) {
-        self.lut = Some(lut);
     }
 
     /// Returns the engine to its just-constructed state — no packets in
@@ -275,21 +229,6 @@ impl Noc {
                 (0..self.cfg.num_nodes()).all(|n| queues.depth(n) == 0 || f.failed(n, self.cycle))
             }
         }
-    }
-
-    /// Attaches an instrumentation probe (replacing any existing one).
-    pub fn attach_probe(&mut self, probe: Probe) {
-        self.probe = Some(probe);
-    }
-
-    /// The attached probe, if any.
-    pub fn probe(&self) -> Option<&Probe> {
-        self.probe.as_ref()
-    }
-
-    /// Detaches and returns the probe.
-    pub fn take_probe(&mut self) -> Option<Probe> {
-        self.probe.take()
     }
 
     /// The configuration this NoC was built from.
@@ -554,9 +493,6 @@ impl Noc {
                 taken[n_taken] = out;
                 n_taken += 1;
                 self.stats.route_decisions += 1;
-                if let Some(probe) = self.probe.as_mut() {
-                    probe.record(self.cycle, node, at, pkt.id, out);
-                }
                 if S::ENABLED {
                     sink.emit(&SimEvent::RouteDecision {
                         cycle: self.cycle,
@@ -673,9 +609,6 @@ impl Noc {
                             pkt.injected_at = self.cycle;
                             self.stats.injected += 1;
                             self.stats.route_decisions += 1;
-                            if let Some(probe) = self.probe.as_mut() {
-                                probe.record(self.cycle, node, at, pkt.id, out);
-                            }
                             if S::ENABLED {
                                 sink.emit(&SimEvent::Inject {
                                     cycle: self.cycle,
@@ -764,22 +697,16 @@ impl Noc {
         std::mem::swap(&mut self.regs, &mut front);
         front.fill(EMPTY_SLOT);
         self.wheel.push_back(front);
-        if let Some(probe) = self.probe.as_mut() {
-            probe.tick();
-        }
         if S::ENABLED {
             sink.end_cycle(self.cycle);
         }
         self.cycle += 1;
     }
 
-    /// Resolves route preferences per the configured [`RouteMode`].
+    /// Resolves route preferences from the precomputed table.
     #[inline]
     fn prefs_for(&self, class: RouterClass, port: InPort, at: Coord, dst: Coord) -> RoutePrefs {
-        match &self.lut {
-            Some(lut) => lut.lookup(class, port, at, dst),
-            None => compute_prefs(&self.cfg, class, port, at, dst),
-        }
+        self.lut.lookup(class, port, at, dst)
     }
 
     /// Writes the packet in pool slot `idx` into the downstream router's

@@ -1,8 +1,13 @@
 //! Instrumentation probes: per-link utilization heatmaps and per-packet
 //! path traces.
 //!
-//! A [`Probe`] can be attached to a [`crate::noc::Noc`]; the engine then
-//! records every output-port assignment into it. Probes power the
+//! A [`Probe`] is an [`EventSink`]: it records the output port of every
+//! [`SimEvent::Inject`] and [`SimEvent::RouteDecision`] it receives, so
+//! it observes any engine that emits those events (single or
+//! multi-channel torus, SHG, mesh) through `step_with_sink` or
+//! [`crate::sim::SimSession::with_sink`]. A multi-channel bank feeds all
+//! channels into the one probe, which therefore shows the aggregate
+//! link load across the replicated wiring. Probes power the
 //! utilization-heatmap diagnostics, path-visualization examples, and the
 //! white-box tests that check packets only ever cross links that exist.
 
@@ -11,6 +16,7 @@ use std::collections::HashMap;
 use crate::geom::Coord;
 use crate::packet::PacketId;
 use crate::port::OutPort;
+use crate::trace::{EventSink, SimEvent};
 
 /// One recorded step of a traced packet's journey.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +57,9 @@ pub struct Probe {
     /// `usage[node][port_index]`: assignments of each output port at
     /// each router (indices per [`OutPort::index`]).
     usage: Vec<[u64; 5]>,
+    /// Side of the square router grid, mapping node ids to the
+    /// [`PathStep::at`] coordinates.
+    side: u16,
     select: TraceSelect,
     traces: HashMap<PacketId, Vec<PathStep>>,
     cycles_observed: u64,
@@ -59,32 +68,23 @@ pub struct Probe {
 impl Probe {
     /// Creates a heatmap-only probe for `nodes` routers.
     pub fn new(nodes: usize) -> Self {
-        Probe {
-            usage: vec![[0; 5]; nodes],
-            ..Default::default()
-        }
+        Probe::with_tracing(nodes, TraceSelect::None)
     }
 
     /// Creates a probe that also traces packet paths.
     pub fn with_tracing(nodes: usize, select: TraceSelect) -> Self {
         Probe {
             usage: vec![[0; 5]; nodes],
+            side: nodes.isqrt() as u16,
             select,
             ..Default::default()
         }
     }
 
-    /// Records one assignment (called by the engine).
-    pub(crate) fn record(
-        &mut self,
-        cycle: u64,
-        node: usize,
-        at: Coord,
-        id: PacketId,
-        out: OutPort,
-    ) {
+    fn record(&mut self, cycle: u64, node: usize, id: PacketId, out: OutPort) {
         self.usage[node][out.index()] += 1;
         if self.select.matches(id) {
+            let at = Coord::from_node_id(node, self.side);
             self.traces
                 .entry(id)
                 .or_default()
@@ -92,41 +92,10 @@ impl Probe {
         }
     }
 
-    /// Notes that one cycle elapsed (normalizes utilization).
-    pub(crate) fn tick(&mut self) {
-        self.cycles_observed += 1;
-    }
-
-    /// Number of cycles observed.
+    /// Number of cycles observed: the last cycle the engine completed,
+    /// plus one.
     pub fn cycles(&self) -> u64 {
         self.cycles_observed
-    }
-
-    /// Number of cycles observed (explicit alias of [`Probe::cycles`]
-    /// matching the field name, for symmetry with merged probes).
-    pub fn cycles_observed(&self) -> u64 {
-        self.cycles_observed
-    }
-
-    /// Merges another probe's observations into this one: usage counts
-    /// add up, path traces union, and the observation window is the
-    /// longer of the two (channels of a multi-channel NoC observe the
-    /// same cycles, so their windows coincide rather than add).
-    pub fn merge(&mut self, other: &Probe) {
-        if self.usage.len() < other.usage.len() {
-            self.usage.resize(other.usage.len(), [0; 5]);
-        }
-        for (node, counts) in other.usage.iter().enumerate() {
-            for (port, &c) in counts.iter().enumerate() {
-                self.usage[node][port] += c;
-            }
-        }
-        for (id, steps) in &other.traces {
-            let merged = self.traces.entry(*id).or_default();
-            merged.extend_from_slice(steps);
-            merged.sort_by_key(|s| s.cycle);
-        }
-        self.cycles_observed = self.cycles_observed.max(other.cycles_observed);
     }
 
     /// Raw assignment count for a port at a node.
@@ -191,6 +160,34 @@ impl Probe {
     }
 }
 
+impl EventSink for Probe {
+    fn emit(&mut self, event: &SimEvent) {
+        match *event {
+            SimEvent::Inject {
+                cycle,
+                node,
+                packet,
+                out,
+                ..
+            }
+            | SimEvent::RouteDecision {
+                cycle,
+                node,
+                packet,
+                out,
+                ..
+            } => self.record(cycle, node, packet, out),
+            _ => {}
+        }
+    }
+
+    /// A multi-channel bank ends each cycle once per channel, so the
+    /// window is the largest cycle seen, not a count of calls.
+    fn end_cycle(&mut self, cycle: u64) {
+        self.cycles_observed = self.cycles_observed.max(cycle + 1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,18 +208,17 @@ mod tests {
     fn records_usage_and_paths_through_engine() {
         let cfg = NocConfig::hoplite(4).unwrap();
         let mut noc = Noc::new(cfg);
-        noc.attach_probe(Probe::with_tracing(16, TraceSelect::All));
+        let mut probe = Probe::with_tracing(16, TraceSelect::All);
         let mut q = InjectQueues::new(16);
         let id = q.push(0, Coord::new(2, 1), 0, 0);
         let mut dels = Vec::new();
         for _ in 0..20 {
-            noc.step(&mut q, &mut dels, None);
+            noc.step_with_sink(&mut q, &mut dels, None, &mut probe);
             if q.is_empty() && noc.in_flight() == 0 {
                 break;
             }
         }
-        let probe = noc.probe().unwrap();
-        assert!(probe.cycles() > 0);
+        assert_eq!(probe.cycles(), noc.cycle());
         // Path: inject east at (0,0), east at (1,0), south at (2,0),
         // exit at (2,1).
         let path = probe.path(id).unwrap();
@@ -256,9 +252,11 @@ mod tests {
     #[test]
     fn utilization_and_hottest_link() {
         let mut p = Probe::new(4);
-        for _ in 0..10 {
-            p.tick();
+        // Two channels each end cycles 8 and 9: the window is 10 cycles.
+        for cycle in [8, 8, 9, 9] {
+            p.end_cycle(cycle);
         }
+        assert_eq!(p.cycles(), 10);
         p.usage[2][OutPort::EastSh.index()] = 5;
         p.usage[1][OutPort::SouthSh.index()] = 3;
         p.usage[0][OutPort::Exit.index()] = 9; // exits don't count as links
@@ -271,9 +269,7 @@ mod tests {
     #[test]
     fn heatmap_renders_grid() {
         let mut p = Probe::new(4);
-        for _ in 0..10 {
-            p.tick();
-        }
+        p.end_cycle(9);
         p.usage[3][OutPort::EastSh.index()] = 10;
         let map = p.heatmap(2, OutPort::EastSh);
         assert_eq!(map, "00\n09\n");

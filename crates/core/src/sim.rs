@@ -26,15 +26,11 @@
 //! assert!(outcome.monitor.unwrap().healthy());
 //! # Ok::<(), fasttrack_core::config::ConfigError>(())
 //! ```
-//!
-//! The pre-session `simulate_*` free functions remain as deprecated
-//! one-line shims over the builder; they produce bit-identical reports.
 
 use crate::attribution::{AttributionConfig, AttributionReport, AttributionSink};
 use crate::config::NocConfig;
 use crate::fallback::{CompiledFallback, FallbackConfig, FallbackError};
 use crate::fault::{FaultError, FaultPlan};
-use crate::kernel::RouteMode;
 use crate::monitor::MetricsRegistry;
 use crate::monitor::{HealthMonitor, MonitorConfig};
 use crate::multichannel::MultiNoc;
@@ -406,17 +402,15 @@ pub trait SessionBackend {
 pub struct TorusBackend {
     cfg: NocConfig,
     channels: Option<usize>,
-    route: RouteMode,
     fallback: CompiledFallback,
 }
 
 impl TorusBackend {
-    /// A single-channel torus backend with the default route mode.
+    /// A single-channel torus backend.
     pub fn new(cfg: &NocConfig) -> Self {
         TorusBackend {
             cfg: cfg.clone(),
             channels: None,
-            route: RouteMode::default(),
             fallback: CompiledFallback::default(),
         }
     }
@@ -508,7 +502,6 @@ impl SessionBackend for TorusBackend {
                     Some(plan) => Noc::with_faults(self.cfg.clone(), plan)?,
                     None => Noc::new(self.cfg.clone()),
                 };
-                noc.set_route_mode(self.route);
                 noc.set_fallback(self.fallback);
                 Ok(TorusEngine::Single(noc))
             }
@@ -517,7 +510,6 @@ impl SessionBackend for TorusBackend {
                     Some(plan) => MultiNoc::with_faults(self.cfg.clone(), k, plan)?,
                     None => MultiNoc::new(self.cfg.clone(), k),
                 };
-                bank.set_route_mode(self.route);
                 bank.set_fallback(self.fallback);
                 Ok(TorusEngine::Multi(bank))
             }
@@ -583,14 +575,12 @@ impl SimOutcome {
 ///
 /// A session starts from a configuration ([`SimSession::new`] for the
 /// torus engines, [`SimSession::with_backend`] for any
-/// [`SessionBackend`]) and composes the concerns that used to each have
-/// their own `simulate_*` entry point:
+/// [`SessionBackend`]) and composes every concern of a run on it:
 ///
 /// * [`SimSession::with_sink`] — cycle-level event tracing,
 /// * [`SimSession::with_monitor`] — online health monitoring,
 /// * [`SimSession::with_faults`] — fault injection,
-/// * [`SimSession::channels`] — a multi-channel bank (torus only),
-/// * [`SimSession::route_mode`] — LUT vs recomputed routing (torus only).
+/// * [`SimSession::channels`] — a multi-channel bank (torus only).
 ///
 /// Every combination is valid; sink and monitor tee into one event
 /// stream. [`SimSession::run`] drives one source; [`SimSession::run_batch`]
@@ -938,13 +928,6 @@ impl<'s, K: EventSink> SimSession<'s, TorusBackend, K> {
         self
     }
 
-    /// Selects LUT-based or recomputed routing (see [`RouteMode`]); the
-    /// two are bit-identical, and the default is [`RouteMode::Lut`].
-    pub fn route_mode(mut self, mode: RouteMode) -> Self {
-        self.backend.route = mode;
-        self
-    }
-
     /// Installs per-router-class fallback chains (see
     /// [`crate::fallback`]): stranded express packets demote to the
     /// shared ring, allocation losers switch channels in a bank, and
@@ -1065,189 +1048,6 @@ fn publish_fallback_cells(report: &SimReport, registry: &MetricsRegistry) {
             "Allocation losers switched to an alternate channel",
         )
         .add(report.stats.fallback_channel_switches);
-}
-
-#[cfg(feature = "legacy-api")]
-fn no_faults(outcome: Result<SimOutcome, FaultError>) -> SimOutcome {
-    outcome.expect("no fault plan attached")
-}
-
-/// Runs `source` on a single-channel NoC built from `cfg`.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` instead: `SimSession::new(cfg).options(opts).run(source)`; this shim will be removed in 0.3.0"
-)]
-pub fn simulate<S: TrafficSource>(cfg: &NocConfig, source: &mut S, opts: SimOptions) -> SimReport {
-    no_faults(SimSession::new(cfg).options(opts).run(source)).report
-}
-
-/// [`simulate`] with an [`EventSink`] observing the run.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.with_sink(sink)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_traced<S: TrafficSource, K: EventSink>(
-    cfg: &NocConfig,
-    source: &mut S,
-    opts: SimOptions,
-    sink: &mut K,
-) -> SimReport {
-    no_faults(
-        SimSession::new(cfg)
-            .options(opts)
-            .with_sink(sink)
-            .run(source),
-    )
-    .report
-}
-
-/// [`simulate`] with a [`FaultPlan`] injected into the fabric.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.with_faults(plan)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_faulted<S: TrafficSource>(
-    cfg: &NocConfig,
-    plan: &FaultPlan,
-    source: &mut S,
-    opts: SimOptions,
-) -> Result<SimReport, FaultError> {
-    SimSession::new(cfg)
-        .options(opts)
-        .with_faults(plan)
-        .run(source)
-        .map(|o| o.report)
-}
-
-/// [`simulate_faulted`] with an [`EventSink`] observing the run,
-/// including the [`SimEvent::FaultDrop`] / [`SimEvent::FaultReroute`]
-/// events.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.with_faults(plan).with_sink(sink)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_faulted_traced<S: TrafficSource, K: EventSink>(
-    cfg: &NocConfig,
-    plan: &FaultPlan,
-    source: &mut S,
-    opts: SimOptions,
-    sink: &mut K,
-) -> Result<SimReport, FaultError> {
-    SimSession::new(cfg)
-        .options(opts)
-        .with_faults(plan)
-        .with_sink(sink)
-        .run(source)
-        .map(|o| o.report)
-}
-
-/// [`simulate`] with a [`HealthMonitor`] attached.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.with_monitor(mcfg)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_monitored<S: TrafficSource>(
-    cfg: &NocConfig,
-    source: &mut S,
-    opts: SimOptions,
-    mcfg: MonitorConfig,
-) -> (SimReport, HealthMonitor) {
-    no_faults(
-        SimSession::new(cfg)
-            .options(opts)
-            .with_monitor(mcfg)
-            .run(source),
-    )
-    .into_monitored()
-}
-
-/// [`simulate_multichannel`] with a [`HealthMonitor`] attached (hotspot
-/// utilization is normalized by the channel count).
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.channels(k).with_monitor(mcfg)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_multichannel_monitored<S: TrafficSource>(
-    cfg: &NocConfig,
-    channels: usize,
-    source: &mut S,
-    opts: SimOptions,
-    mcfg: MonitorConfig,
-) -> (SimReport, HealthMonitor) {
-    no_faults(
-        SimSession::new(cfg)
-            .options(opts)
-            .channels(channels)
-            .with_monitor(mcfg)
-            .run(source),
-    )
-    .into_monitored()
-}
-
-/// Runs `source` on a `channels`-way replicated NoC (multi-channel
-/// Hoplite; the paper's iso-wiring comparison point).
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.channels(k)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_multichannel<S: TrafficSource>(
-    cfg: &NocConfig,
-    channels: usize,
-    source: &mut S,
-    opts: SimOptions,
-) -> SimReport {
-    no_faults(
-        SimSession::new(cfg)
-            .options(opts)
-            .channels(channels)
-            .run(source),
-    )
-    .report
-}
-
-/// [`simulate_multichannel`] with an [`EventSink`] observing all
-/// channels (see [`MultiNoc::step_with_sink`] for channel attribution).
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.channels(k).with_sink(sink)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_multichannel_traced<S: TrafficSource, K: EventSink>(
-    cfg: &NocConfig,
-    channels: usize,
-    source: &mut S,
-    opts: SimOptions,
-    sink: &mut K,
-) -> SimReport {
-    no_faults(
-        SimSession::new(cfg)
-            .options(opts)
-            .channels(channels)
-            .with_sink(sink)
-            .run(source),
-    )
-    .report
-}
-
-/// [`simulate_multichannel`] with a [`FaultPlan`] injected into every
-/// channel (the channels replicate one physical fabric region, so a
-/// fault hits all of them).
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.channels(k).with_faults(plan)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_multichannel_faulted<S: TrafficSource>(
-    cfg: &NocConfig,
-    channels: usize,
-    plan: &FaultPlan,
-    source: &mut S,
-    opts: SimOptions,
-) -> Result<SimReport, FaultError> {
-    SimSession::new(cfg)
-        .options(opts)
-        .channels(channels)
-        .with_faults(plan)
-        .run(source)
-        .map(|o| o.report)
 }
 
 #[cfg(test)]

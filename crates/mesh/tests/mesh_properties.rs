@@ -113,61 +113,4 @@ proptest! {
             prop_assert!(d.total_latency() >= (d.packet.short_hops + 1) as u64);
         }
     }
-
-    /// The deprecated `simulate_mesh_traced` shim and the
-    /// `SimSession::with_backend` path are indistinguishable: same
-    /// report, same event stream, for arbitrary sizes and batches —
-    /// the mesh half of the refactor's differential guarantee.
-    #[cfg(feature = "legacy-api")]
-    #[test]
-    fn shim_traced_matches_session(
-        n in 2u16..7,
-        depth in 1usize..5,
-        seed in any::<u64>(),
-    ) {
-        use fasttrack_core::sim::{SimOptions, SimSession, TrafficSource};
-        use fasttrack_core::trace::VecSink;
-        use fasttrack_mesh::MeshBackend;
-
-        struct Batch {
-            items: Vec<(usize, Coord)>,
-            pushed: bool,
-        }
-        impl TrafficSource for Batch {
-            fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
-                if !self.pushed {
-                    for &(s, d) in &self.items {
-                        queues.push(s, d, cycle, 0);
-                    }
-                    self.pushed = true;
-                }
-            }
-            fn exhausted(&self) -> bool {
-                self.pushed
-            }
-        }
-
-        let cfg = MeshConfig::new(n, depth).unwrap();
-        let items = random_batch(n, 2, seed);
-        let mk = || Batch { items: items.clone(), pushed: false };
-
-        let mut legacy_sink = VecSink::new();
-        #[allow(deprecated)]
-        let legacy = fasttrack_mesh::simulate_mesh_traced(
-            &cfg,
-            &mut mk(),
-            SimOptions::default(),
-            &mut legacy_sink,
-        );
-
-        let mut session_sink = VecSink::new();
-        let session = SimSession::with_backend(MeshBackend::new(&cfg))
-            .with_sink(&mut session_sink)
-            .run(&mut mk())
-            .unwrap()
-            .report;
-
-        prop_assert_eq!(legacy, session);
-        prop_assert_eq!(&legacy_sink.events, &session_sink.events);
-    }
 }
