@@ -41,7 +41,11 @@
 //!    or PE exit), and `express + ring + exit == SimStats::route_decisions`.
 //!
 //! The sink is bounded-memory: per-packet state lives only while the
-//! packet is in flight and is dropped on `Eject` / `FaultDrop`.
+//! packet is in flight and is dropped on `Eject` / `FaultDrop`. State
+//! is keyed by [`PacketId`] alone: ids come from the one shared
+//! injection queue, so they are unique across the channels of a bank,
+//! and a packet a fallback chain moves to a sibling channel keeps its
+//! state.
 //!
 //! # Composition
 //!
@@ -198,8 +202,7 @@ struct InFlight {
 #[derive(Debug, Clone)]
 pub struct AttributionSink {
     cfg: AttributionConfig,
-    channel: usize,
-    states: HashMap<(usize, PacketId), InFlight>,
+    states: HashMap<PacketId, InFlight>,
     /// Aggregates over delivered packets (reset at warmup).
     delivered: u64,
     totals: [u64; COMPONENTS],
@@ -227,7 +230,6 @@ impl AttributionSink {
     pub fn new(cfg: AttributionConfig) -> Self {
         AttributionSink {
             cfg,
-            channel: 0,
             states: HashMap::new(),
             delivered: 0,
             totals: [0; COMPONENTS],
@@ -282,8 +284,7 @@ impl AttributionSink {
     }
 
     fn finalize(&mut self, cycle: u64, delivery: &crate::packet::Delivery) {
-        let key = (self.channel, delivery.packet.id);
-        let Some(mut st) = self.states.remove(&key) else {
+        let Some(mut st) = self.states.remove(&delivery.packet.id) else {
             // A delivery we never saw injected (sink attached mid-run):
             // nothing to attribute, but record the hole.
             self.mismatches += 1;
@@ -359,7 +360,7 @@ impl EventSink for AttributionSink {
             } => {
                 self.count_decision(*out);
                 self.states.insert(
-                    (self.channel, *packet),
+                    *packet,
                     InFlight {
                         queue_wait: *queue_wait,
                         last_cycle: *cycle,
@@ -372,21 +373,21 @@ impl EventSink for AttributionSink {
                 cycle, packet, out, ..
             } => {
                 self.count_decision(*out);
-                if let Some(st) = self.states.get_mut(&(self.channel, *packet)) {
+                if let Some(st) = self.states.get_mut(packet) {
                     st.transit[st.pending as usize] += cycle - st.last_cycle;
                     st.last_cycle = *cycle;
                     st.pending = Self::classify(*out);
                 }
             }
             SimEvent::Deflect { packet, .. } => {
-                if let Some(st) = self.states.get_mut(&(self.channel, *packet)) {
+                if let Some(st) = self.states.get_mut(packet) {
                     st.pending = LatencyComponent::Deflect;
                 }
             }
             SimEvent::FaultReroute { packet, .. } => {
                 // Emitted after any same-cycle Deflect, so the reroute
                 // cause wins the pending class.
-                if let Some(st) = self.states.get_mut(&(self.channel, *packet)) {
+                if let Some(st) = self.states.get_mut(packet) {
                     st.pending = LatencyComponent::Reroute;
                 }
             }
@@ -397,7 +398,7 @@ impl EventSink for AttributionSink {
                 cycle, delivery, ..
             } => self.finalize(*cycle, delivery),
             SimEvent::FaultDrop { cycle, packet, .. } => {
-                if let Some(st) = self.states.remove(&(self.channel, *packet)) {
+                if let Some(st) = self.states.remove(packet) {
                     self.dropped_packets += 1;
                     let in_net: u64 = st.transit.iter().sum();
                     self.dropped_cycles += st.queue_wait + in_net + (cycle - st.last_cycle);
@@ -409,10 +410,6 @@ impl EventSink for AttributionSink {
             SimEvent::WarmupReset { .. } => self.warmup_reset(),
             _ => {}
         }
-    }
-
-    fn set_channel(&mut self, channel: usize) {
-        self.channel = channel;
     }
 }
 
@@ -836,25 +833,60 @@ mod tests {
     }
 
     #[test]
-    fn channels_keep_identical_packet_ids_apart() {
-        let mut s = AttributionSink::new(AttributionConfig::default());
-        s.set_channel(0);
-        s.emit(&inject(0, 9, OutPort::EastSh, 0));
-        s.set_channel(1);
-        s.emit(&inject(2, 9, OutPort::EastEx, 1));
-        s.set_channel(0);
-        s.emit(&route(4, 9, OutPort::Exit));
-        s.emit(&eject(4, 9, 0));
-        s.set_channel(1);
-        s.emit(&route(8, 9, OutPort::Exit));
-        s.emit(&eject(8, 9, 1));
-        let r = AttributionReport::assemble(s, &report_with(4), MetricsRegistry::new());
-        assert_eq!(r.delivered, 2);
-        // chan 0: 0 wait + 4 ring + 1 eject; chan 1: 1 wait + 6 express + 1 eject.
-        assert_eq!(r.component(LatencyComponent::Ring), 4);
-        assert_eq!(r.component(LatencyComponent::Express), 6);
-        assert_eq!(r.total_cycles(), 13);
-        assert!(r.reconciled());
+    fn channel_switched_packets_attribute_exactly() {
+        use crate::config::{FtPolicy, NocConfig};
+        use crate::fallback::FallbackConfig;
+        use crate::fault::{FaultPlan, StormSpec};
+        use crate::queue::InjectQueues;
+        use crate::sim::{SimSession, TrafficSource};
+
+        /// Every PE sends `per_pe` packets along a fixed stride at cycle 0.
+        struct Burst {
+            per_pe: usize,
+            pushed: bool,
+        }
+        impl TrafficSource for Burst {
+            fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
+                if !self.pushed {
+                    for src in 0..64 {
+                        for k in 1..=self.per_pe {
+                            let dst = Coord::from_node_id((src + 9 * k) % 64, 8);
+                            queues.push(src, dst, cycle, 0);
+                        }
+                    }
+                    self.pushed = true;
+                }
+            }
+            fn exhausted(&self) -> bool {
+                self.pushed
+            }
+        }
+
+        let cfg = NocConfig::fasttrack(8, 2, 2, FtPolicy::Full).unwrap();
+        let storm = StormSpec {
+            kills_per_kcycle: 40,
+            heal_after: (200, 600),
+            duration: 2_000,
+        };
+        let plan = FaultPlan::storm(&cfg, 3, &storm);
+        let outcome = SimSession::new(&cfg)
+            .channels(2)
+            .with_fallback(&FallbackConfig::standard())
+            .unwrap()
+            .with_faults(&plan)
+            .with_attribution(AttributionConfig::default())
+            .run(&mut Burst {
+                per_pe: 30,
+                pushed: false,
+            })
+            .unwrap();
+        let stats = &outcome.report.stats;
+        assert!(stats.fallback_channel_switches > 0, "{stats:?}");
+        let a = outcome.attribution.unwrap();
+        assert_eq!(a.mismatches, 0);
+        assert_eq!(a.in_flight, 0);
+        assert_eq!(a.delivered, stats.delivered);
+        assert!(a.reconciled(), "{a:?}");
     }
 
     #[test]

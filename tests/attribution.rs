@@ -119,8 +119,8 @@ fn warmup_attribution_covers_only_the_measured_window() {
 
 #[test]
 fn multichannel_attribution_keys_packets_per_channel() {
-    // MultiNoc reuses PacketIds across channels; the sink keys state by
-    // (channel, id), so exact sums survive the collisions.
+    // Every channel of a bank draws packet ids from the one shared
+    // injection queue, so the sink's per-id state never collides.
     let cfg = NocConfig::fasttrack(4, 2, 1, FtPolicy::Full).unwrap();
     let mut src = BernoulliSource::new(4, Pattern::Transpose, 0.9, 60, 31);
     let outcome = SimSession::new(&cfg)
@@ -130,7 +130,7 @@ fn multichannel_attribution_keys_packets_per_channel() {
         .unwrap();
     let a = outcome.attribution.unwrap();
     assert_eq!(a.delivered, outcome.report.stats.delivered);
-    assert_eq!(a.mismatches, 0, "channel collisions must not corrupt sums");
+    assert_eq!(a.mismatches, 0, "channels must not corrupt sums");
     assert!(a.reconciled());
 }
 
